@@ -40,6 +40,12 @@ if ! diff -u "$smoke/run1.txt" "$smoke/run2.txt"; then
 fi
 echo "evaluation output is bit-identical across runs"
 
+step "paper anchor (small evaluation matches the committed eval_small.txt)"
+# Any drift in the kernel log, the modeled clock or a partition changes
+# this table, so the committed output pins all three.
+GPM_SCALE=small ./target/release/evaluation | cmp - eval_small.txt
+echo "small-scale evaluation is byte-identical to eval_small.txt"
+
 step "fault-injection smoke (gpm-faults: retry, degradation, identity)"
 cargo run --release --offline -q --example degraded_pipeline > "$smoke/degraded.txt"
 grep -q "degraded : " "$smoke/degraded.txt"

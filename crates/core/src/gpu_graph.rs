@@ -4,6 +4,8 @@
 
 use gpm_gpu_sim::{DBuf, Device, DeviceError};
 use gpm_graph::csr::{CsrGraph, Vid};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Upload a host index array (`Vid`-width) as 32-bit device words. The
 /// simulated device keeps CUDA's 32-bit word model regardless of the host
@@ -102,20 +104,21 @@ pub enum Distribution {
 }
 
 /// Iterator over the vertices assigned to thread `tid` of `nt` for `n`
-/// vertices under `dist`.
+/// vertices under `dist`. Both distributions are a strided range, so the
+/// iterator is concrete and costs no allocation per simulated lane.
 pub fn assigned_vertices(
     dist: Distribution,
     tid: usize,
     nt: usize,
     n: usize,
-) -> Box<dyn Iterator<Item = usize>> {
+) -> StepBy<Range<usize>> {
     match dist {
-        Distribution::Cyclic => Box::new((tid..n).step_by(nt.max(1))),
+        Distribution::Cyclic => (tid..n).step_by(nt.max(1)),
         Distribution::Blocked => {
             let per = n.div_ceil(nt.max(1));
             let lo = (tid * per).min(n);
             let hi = ((tid + 1) * per).min(n);
-            Box::new(lo..hi)
+            (lo..hi).step_by(1)
         }
     }
 }

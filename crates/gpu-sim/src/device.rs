@@ -132,18 +132,6 @@ impl KernelStats {
     }
 }
 
-/// Aggregated statistics for one kernel name (see
-/// [`Device::kernel_summary`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelSummary {
-    pub name: String,
-    pub launches: u64,
-    pub seconds: f64,
-    pub transactions: u64,
-    pub accesses: u64,
-    pub warp_instr: u64,
-}
-
 /// Per-group statistics accumulator for one kernel launch.
 #[derive(Default)]
 struct Acc {
@@ -153,43 +141,60 @@ struct Acc {
     accesses: u64,
 }
 
-/// Fixed-capacity sorted set of the memory segments touched at one
-/// lockstep trace position. Keeping the array sorted turns the previous
-/// per-access linear `contains` scan (O(warp_size) comparisons against an
-/// unsorted prefix) into a binary search plus an insertion shift —
-/// O(log warp_size) comparisons for the common already-present hit, which
-/// dominates coalesced access patterns. Capacity 64 covers a full warp of
-/// scattered accesses (one segment per lane, warp_size ≤ 64).
+/// Slots of [`SegSet`]: twice the largest supported warp, so a fully
+/// scattered warp (one segment per lane) keeps the table at most half full.
+const SEG_SLOTS: usize = 128;
+
+/// The distinct memory segments touched at one lockstep trace position:
+/// a generation-stamped open-addressing set. A slot is occupied only while
+/// its stamp equals the current generation, so `clear` is one increment
+/// instead of a wipe, and an insert costs one hash plus a short linear
+/// probe at ≤ 50% load.
 struct SegSet {
-    segs: [u64; 64],
-    len: usize,
+    keys: [u64; SEG_SLOTS],
+    stamps: [u32; SEG_SLOTS],
+    stamp: u32,
 }
 
 impl SegSet {
-    fn new() -> Self {
-        SegSet { segs: [0; 64], len: 0 }
+    const fn new() -> Self {
+        SegSet { keys: [0; SEG_SLOTS], stamps: [0; SEG_SLOTS], stamp: 1 }
     }
 
     fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    fn len(&self) -> usize {
-        self.len
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Generation counter wrapped: stale stamps could alias, wipe them.
+            self.stamps = [0; SEG_SLOTS];
+            self.stamp = 1;
+        }
     }
 
     /// Insert `s`; returns whether it was newly added.
     fn insert(&mut self, s: u64) -> bool {
-        match self.segs[..self.len].binary_search(&s) {
-            Ok(_) => false,
-            Err(i) => {
-                self.segs.copy_within(i..self.len, i + 1);
-                self.segs[i] = s;
-                self.len += 1;
-                true
+        // Fibonacci hashing: the top log2(SEG_SLOTS) bits of the product
+        // mix both the segment index (low bits) and the buffer id (high).
+        let mut i =
+            (s.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SEG_SLOTS.trailing_zeros())) as usize;
+        loop {
+            if self.stamps[i] != self.stamp {
+                self.stamps[i] = self.stamp;
+                self.keys[i] = s;
+                return true;
             }
+            if self.keys[i] == s {
+                return false;
+            }
+            i = (i + 1) % SEG_SLOTS;
         }
     }
+}
+
+/// Per-host-worker launch scratch, reused across warp groups and launches.
+struct Scratch {
+    /// One segment trace per lane of the current warp.
+    traces: Vec<Vec<u64>>,
+    segs: SegSet,
 }
 
 #[derive(Default)]
@@ -375,32 +380,6 @@ impl Device {
         self.state.lock().unwrap().log.clone()
     }
 
-    /// Per-kernel-name aggregation of the launch log: launches, modeled
-    /// seconds, transactions, accesses, warp instructions — sorted by
-    /// total time descending.
-    pub fn kernel_summary(&self) -> Vec<KernelSummary> {
-        let mut agg: std::collections::BTreeMap<String, KernelSummary> =
-            std::collections::BTreeMap::new();
-        for k in self.state.lock().unwrap().log.iter() {
-            let e = agg.entry(k.name.clone()).or_insert_with(|| KernelSummary {
-                name: k.name.clone(),
-                launches: 0,
-                seconds: 0.0,
-                transactions: 0,
-                accesses: 0,
-                warp_instr: 0,
-            });
-            e.launches += 1;
-            e.seconds += k.seconds;
-            e.transactions += k.transactions;
-            e.accesses += k.accesses;
-            e.warp_instr += k.warp_instr;
-        }
-        let mut v: Vec<KernelSummary> = agg.into_values().collect();
-        v.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).unwrap_or(std::cmp::Ordering::Equal));
-        v
-    }
-
     /// Total PCIe transfer seconds so far.
     pub fn transfer_seconds_total(&self) -> f64 {
         self.state.lock().unwrap().transfers.iter().map(|&(_, _, s)| s).sum()
@@ -437,6 +416,7 @@ impl Device {
         let backoff = self.visit_site("gpu.launch", self.cfg.kernel_launch_overhead)?;
         self.charge_backoff(backoff);
         let ws = self.cfg.warp_size;
+        assert!(2 * ws <= SEG_SLOTS, "warp size {ws} exceeds the coalescing set");
         let n_warps = n_threads.div_ceil(ws);
         // Groups of 8 warps amortize dispatch; scratch lives per host
         // worker in thread-locals, reused across groups and launches.
@@ -444,24 +424,21 @@ impl Device {
         let n_groups = n_warps.div_ceil(GROUP);
 
         thread_local! {
-            static SCRATCH: RefCell<(Vec<Vec<u64>>, Vec<u64>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
+            static SCRATCH: RefCell<Scratch> =
+                const { RefCell::new(Scratch { traces: Vec::new(), segs: SegSet::new() }) };
         }
 
         let accs = gpm_pool::parallel_chunks(n_groups, |gi| {
             SCRATCH.with(|cell| {
-                let (traces, lane_instrs) = &mut *cell.borrow_mut();
+                let Scratch { traces, segs } = &mut *cell.borrow_mut();
                 traces.resize_with(ws, || Vec::with_capacity(self.cfg.trace_cap.min(256)));
-                lane_instrs.resize(ws, 0);
                 let mut local = Acc::default();
-                let mut segs = SegSet::new();
                 for w in gi * GROUP..(gi * GROUP + GROUP).min(n_warps) {
                     let base = w * ws;
                     let mut max_instr = 0u64;
                     let mut overflow = 0u64;
-                    for l in 0..ws {
-                        traces[l].clear();
-                        lane_instrs[l] = 0;
+                    for (l, trace) in traces.iter_mut().enumerate() {
+                        trace.clear();
                         let tid = base + l;
                         if tid >= n_threads {
                             continue;
@@ -470,7 +447,7 @@ impl Device {
                             tid,
                             n_threads,
                             instr: 0,
-                            trace: &mut traces[l],
+                            trace,
                             overflow: 0,
                             trace_cap: self.cfg.trace_cap,
                             segment_bytes: self.cfg.segment_bytes,
@@ -478,27 +455,31 @@ impl Device {
                             recent_pos: 0,
                         };
                         kernel(&mut lane);
-                        lane_instrs[l] = lane.instr;
+                        local.lane_instr += lane.instr;
                         overflow += lane.overflow;
                         max_instr = max_instr.max(lane.instr);
                     }
-                    // Replay traces in lockstep: the k-th access of
-                    // each lane coalesces into distinct segments.
+                    // Replay traces in lockstep: the k-th access of each
+                    // lane coalesces into distinct segments. Coalesced
+                    // warps repeat one segment across neighbouring lanes,
+                    // so a lane matching the previous lane skips the set.
                     let maxlen = traces.iter().map(|t| t.len()).max().unwrap_or(0);
                     let mut txns = 0u64;
                     for k in 0..maxlen {
                         segs.clear();
+                        let mut prev = None;
                         for t in traces.iter() {
                             if let Some(&s) = t.get(k) {
-                                segs.insert(s);
+                                if prev != Some(s) {
+                                    txns += segs.insert(s) as u64;
+                                    prev = Some(s);
+                                }
                             }
                         }
-                        txns += segs.len() as u64;
                     }
                     local.transactions += txns + overflow;
                     local.accesses += traces.iter().map(|t| t.len() as u64).sum::<u64>() + overflow;
                     local.warp_instr += max_instr;
-                    local.lane_instr += lane_instrs.iter().sum::<u64>();
                 }
                 local
             })
@@ -668,28 +649,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_summary_aggregates() {
-        let d = dev();
-        let b = d.alloc::<u32>(64).unwrap();
-        for _ in 0..3 {
-            d.launch("x", 64, |l| {
-                let _ = l.ld(&b, l.tid);
-            })
-            .unwrap();
-        }
-        d.launch("y", 64, |l| l.alu(5)).unwrap();
-        let s = d.kernel_summary();
-        assert_eq!(s.len(), 2);
-        let x = s.iter().find(|k| k.name == "x").unwrap();
-        assert_eq!(x.launches, 3);
-        assert!(x.seconds > 0.0);
-        assert!(x.transactions > 0);
-    }
-
-    #[test]
     fn segset_counts_match_linear_scan() {
-        // The sorted dedup must count exactly as many distinct segments
-        // per lockstep position as the linear-scan reference it replaced.
+        // The stamped set must report exactly the distinct segments a
+        // linear scan finds, at every load up to a full scattered warp of
+        // 64, across generation clears and the stamp wrap-around.
         let mut z = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
             z ^= z << 13;
@@ -698,21 +661,24 @@ mod tests {
             z
         };
         let mut set = SegSet::new();
-        for trial in 0..200 {
-            // segment ids drawn from a small space to force duplicates
-            let ids: Vec<u64> = (0..(trial % 64) + 1).map(|_| next() % 40).collect();
+        set.stamp = u32::MAX - 100; // cross the wrap mid-run
+        for trial in 0..400 {
+            // small id spaces force duplicates; buffer ids in the high
+            // bits (as `Lane::record` builds them) stress the hash
+            let space = [40, 64, 1 << 20][trial % 3];
+            let ids: Vec<u64> =
+                (0..(trial % 64) + 1).map(|_| ((next() % 3) << 40) | (next() % space)).collect();
             let mut linear: Vec<u64> = Vec::new();
-            for &s in &ids {
-                if !linear.contains(&s) {
-                    linear.push(s);
-                }
-            }
             set.clear();
             for &s in &ids {
-                set.insert(s);
+                let fresh = !linear.contains(&s);
+                if fresh {
+                    linear.push(s);
+                }
+                assert_eq!(set.insert(s), fresh, "trial {trial}, segment {s:#x}");
             }
-            assert_eq!(set.len(), linear.len(), "trial {trial}");
         }
+        assert!(set.stamp < 1000, "the stamp wrapped");
     }
 
     #[test]

@@ -713,8 +713,30 @@ mod tests {
         assert_eq!(out, (0..8).map(|i| i * 28).collect::<Vec<_>>());
     }
 
+    /// Serializes the tests that use the process-wide blocking-seat cache,
+    /// so one test's seat counts never include another's.
+    static BLOCKING_TESTS: Mutex<()> = Mutex::new(());
+
+    fn blocking_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        BLOCKING_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Seats spawned so far, once every one is back in the idle cache (a
+    /// seat returns itself only after its task has reported completion).
+    fn settled_seats() -> usize {
+        let shared = blocking_shared();
+        loop {
+            let spawned = *shared.spawned.lock().unwrap();
+            if shared.idle.lock().unwrap().len() == spawned {
+                return spawned;
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn scoped_blocking_tasks_can_wait_on_each_other() {
+        let _serial = blocking_test_lock();
         // p tasks all meet at a barrier: impossible without p live threads
         let p = 6;
         let barrier = std::sync::Barrier::new(p);
@@ -727,16 +749,22 @@ mod tests {
 
     #[test]
     fn scoped_blocking_reuses_seats() {
+        let _serial = blocking_test_lock();
+        let before = settled_seats();
         for round in 0..5u64 {
             let out = scoped_blocking(4, |i| round * 10 + i as u64);
             assert_eq!(out, (0..4).map(|i| round * 10 + i).collect::<Vec<u64>>());
+            settled_seats();
         }
-        // grow-on-demand cache: at most p-1 seats ever needed so far
-        assert!(*blocking_shared().spawned.lock().unwrap() <= 5);
+        // grow-on-demand cache: at most p-1 = 3 seats serve every round
+        // (fewer when a seat finishes before the next task is handed out),
+        // so the cache never grows per round
+        assert!(settled_seats() <= before.max(3));
     }
 
     #[test]
     fn scoped_blocking_propagates_panics() {
+        let _serial = blocking_test_lock();
         let r = catch_unwind(AssertUnwindSafe(|| {
             scoped_blocking(3, |i| {
                 if i == 2 {
@@ -752,6 +780,7 @@ mod tests {
 
     #[test]
     fn stats_counters_are_monotonic() {
+        let _serial = blocking_test_lock();
         let before = stats();
         parallel_chunks(9, |i| i);
         scoped_blocking(3, |i| i);

@@ -210,8 +210,7 @@ impl ServerHandle {
     /// Request shutdown from the server side (equivalent to a client
     /// `Shutdown` frame, minus the ack).
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        request_shutdown(&self.shared);
         wake_acceptor(self.addr);
     }
 
@@ -241,6 +240,17 @@ impl ServerHandle {
             threads_joined: joined,
         }
     }
+}
+
+/// Set the shutdown flag and wake every waiter. Both happen under the
+/// queue lock: a worker holds that lock from its flag check until `wait`
+/// releases it, so it either sees the flag or is already waiting when the
+/// notification fires — never between the two, where the wake-up would be
+/// lost and `join` would hang.
+fn request_shutdown(sh: &Shared) {
+    let _q = lock(&sh.queue);
+    sh.shutdown.store(true, Ordering::SeqCst);
+    sh.cv.notify_all();
 }
 
 /// Connect-and-close against our own listener so a blocking `accept`
@@ -549,8 +559,7 @@ fn handle_frame(
             true
         }
         FT_SHUTDOWN => {
-            sh.shutdown.store(true, Ordering::SeqCst);
-            sh.cv.notify_all();
+            request_shutdown(sh);
             // Wait for the queue to drain and all in-flight jobs to
             // finish before acking — the ack promises quiescence.
             {

@@ -17,14 +17,30 @@
 //! let during = ALLOC.allocations() - before;
 //! ```
 //!
-//! Keep such tests single-threaded: pool workers allocate on their own
-//! schedule, which makes counts nondeterministic. The counters themselves
-//! are atomic, so concurrent use is safe — just not reproducible.
+//! The process-wide counters see every thread, so they are reproducible
+//! only while nothing else runs — and the test harness runs the tests of a
+//! binary concurrently. A test that asserts exact counts reads
+//! [`thread_allocations`] instead: the calling thread's own allocation
+//! calls, untouched by sibling tests or pool workers (so the measured
+//! path must run on the test thread).
 //!
 //! [`CoarsenWorkspace`]: gpm_graph::coarsen_ws::CoarsenWorkspace
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    // Const-initialized and drop-free, so the allocator can touch it at
+    // any point of a thread's life without allocating itself.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocation calls a [`CountingAlloc`] has served on the calling thread
+/// so far (counted like [`CountingAlloc::allocations`]).
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
 
 /// System allocator wrapper that counts calls and requested bytes, and
 /// tracks the live-byte high-water mark (the heap component of peak RSS,
@@ -52,6 +68,7 @@ impl CountingAlloc {
 
     #[inline]
     fn on_alloc(&self, bytes: u64) {
+        THREAD_ALLOCATIONS.with(|c| c.set(c.get() + 1));
         self.allocations.fetch_add(1, Ordering::Relaxed);
         self.bytes_allocated.fetch_add(bytes, Ordering::Relaxed);
         let live = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -158,5 +175,24 @@ mod tests {
         assert_eq!(a.live_bytes(), 0);
         assert_eq!(a.allocations(), 4);
         assert_eq!(a.deallocations(), 4);
+    }
+
+    #[test]
+    fn thread_count_ignores_other_threads() {
+        let a = CountingAlloc::new();
+        let l = Layout::from_size_align(64, 8).unwrap();
+        let before = thread_allocations();
+        unsafe {
+            let p = a.alloc(l);
+            a.dealloc(p, l);
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| unsafe {
+                let p = a.alloc(l);
+                a.dealloc(p, l);
+            });
+        });
+        assert_eq!(a.allocations(), 2);
+        assert_eq!(thread_allocations() - before, 1, "only this thread's call counts");
     }
 }
