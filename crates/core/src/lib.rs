@@ -28,7 +28,7 @@ pub mod kernels;
 pub mod multi_gpu;
 
 use gpm_faults::{FaultInjector, FaultPlan, PlanParseError};
-use gpm_gpu_sim::{Device, DeviceError, GpuConfig, KernelStats};
+use gpm_gpu_sim::{Device, DeviceError, EngineId, EventId, GpuConfig, KernelStats, Timeline};
 use gpm_graph::csr::CsrGraph;
 use gpm_metis::coarsen::{CoarsenConfig, Hierarchy, Level};
 use gpm_metis::cost::{CostLedger, CpuModel};
@@ -81,12 +81,6 @@ pub struct GpMetisConfig {
     /// checkpoint instead of failing. Off by default — checkpointing
     /// downloads each coarse level over (modeled) PCIe.
     pub fallback: bool,
-    /// Overlap-aware execution: evaluate the run as an op DAG over
-    /// per-device compute/copy engines and report the critical-path
-    /// makespan alongside the serialized ledger (DESIGN.md §16). Pure
-    /// accounting — partitions and the serialized ledger are byte-for-byte
-    /// identical either way; off simply skips the timeline.
-    pub overlap: bool,
 }
 
 impl GpMetisConfig {
@@ -105,7 +99,6 @@ impl GpMetisConfig {
             seed: 1,
             gpu: GpuConfig::gtx_titan(),
             fallback: false,
-            overlap: true,
         }
     }
 
@@ -124,12 +117,6 @@ impl GpMetisConfig {
     /// Builder-style fallback (graceful degradation) override.
     pub fn with_fallback(mut self, on: bool) -> Self {
         self.fallback = on;
-        self
-    }
-
-    /// Builder-style overlap-timeline override.
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
         self
     }
 }
@@ -257,9 +244,9 @@ pub struct GpMetisResult {
     /// Fault-injection and degradation record.
     pub report: RunReport,
     /// Overlap-aware schedule of the run (critical-path makespan and
-    /// per-engine occupancy), when `cfg.overlap` was on and the run
-    /// finished on the clean GPU path. `None` with overlap off and on the
-    /// degraded / CPU-only paths, whose timeline the DAG does not model.
+    /// per-engine occupancy, DESIGN.md §16) when it finished on the clean
+    /// GPU path. `None` on the degraded / CPU-only paths, whose timeline
+    /// the DAG does not model.
     pub overlap: Option<gpm_gpu_sim::OverlapReport>,
 }
 
@@ -267,6 +254,98 @@ pub struct GpMetisResult {
 pub(crate) struct GpuLevel {
     pub(crate) graph: GpuCsr,
     pub(crate) cmap: gpm_gpu_sim::DBuf<u32>,
+}
+
+/// One device's GPU coarsening in progress: the current graph, the
+/// finished levels, and the contraction scratch they recycle. Each
+/// [`Coarsening::step`] is one level, so the single-GPU loop and the
+/// multi-GPU coarsening superstep run the same code.
+pub(crate) struct Coarsening {
+    pub(crate) cur: GpuCsr,
+    pub(crate) levels: Vec<GpuLevel>,
+    uniform: bool,
+    max_vwgt: u32,
+    stalled: bool,
+    conflicts: u64,
+    peak_mem: u64,
+    // The first level sizes the contraction temporaries and scan buffers
+    // high-water; later levels recycle them without touching the device
+    // allocator. Freed by `into_outcome`, before the uncoarsening ascent.
+    scratch: GpuCoarsenScratch,
+}
+
+impl Coarsening {
+    pub(crate) fn new(g0: GpuCsr, uniform: bool, max_vwgt: u32) -> Self {
+        Coarsening {
+            cur: g0,
+            levels: Vec::new(),
+            uniform,
+            max_vwgt,
+            stalled: false,
+            conflicts: 0,
+            peak_mem: 0,
+            scratch: GpuCoarsenScratch::new(),
+        }
+    }
+
+    /// Whether another level should run: the graph is still above the
+    /// GPU threshold, the level cap is not reached, and matching has not
+    /// stalled.
+    pub(crate) fn wants_level(&self, cfg: &GpMetisConfig) -> bool {
+        !self.stalled
+            && self.cur.n > cfg.gpu_threshold
+            && self.levels.len() < CoarsenConfig::for_k(cfg.k).max_levels
+    }
+
+    /// One coarsening level: matching, cmap, stall check, contraction.
+    /// Returns `false` (and stops wanting levels) when the level stalls;
+    /// otherwise the contracted graph becomes `cur` and the finished level
+    /// is pushed.
+    pub(crate) fn step(&mut self, dev: &Device, cfg: &GpMetisConfig) -> Result<bool, DeviceError> {
+        let lvl = self.levels.len();
+        let (mat, mstats) = gpu_matching(
+            dev,
+            &self.cur,
+            self.max_vwgt,
+            cfg.match_rounds,
+            self.uniform,
+            cfg.seed.wrapping_add(lvl as u64),
+            cfg.distribution,
+            cfg.max_threads,
+        )?;
+        self.conflicts += mstats.conflicts;
+        let (cmap, nc) =
+            gpu_cmap_ws(dev, &mat, cfg.distribution, cfg.max_threads, &mut self.scratch)?;
+        if nc as f64 / self.cur.n as f64 > CoarsenConfig::for_k(cfg.k).reduction_cutoff {
+            self.stalled = true; // hand over to the CPU
+            return Ok(false);
+        }
+        let coarse = gpu_contract_ws(
+            dev,
+            &self.cur,
+            &mat,
+            &cmap,
+            nc,
+            cfg.merge,
+            cfg.max_threads,
+            &mut self.scratch,
+        )?;
+        self.peak_mem = self.peak_mem.max(dev.mem_used());
+        self.uniform = false; // contraction sums weights; HEM has signal now
+        let fine = std::mem::replace(&mut self.cur, coarse);
+        self.levels.push(GpuLevel { graph: fine, cmap });
+        Ok(true)
+    }
+
+    /// Finish coarsening: frees the scratch and keeps the hierarchy.
+    pub(crate) fn into_outcome(self) -> CoarsenOutcome {
+        CoarsenOutcome {
+            levels: self.levels,
+            coarsest: self.cur,
+            conflicts: self.conflicts,
+            peak_mem: self.peak_mem,
+        }
+    }
 }
 
 /// Outcome of a device coarsening loop.
@@ -278,71 +357,56 @@ pub(crate) struct CoarsenOutcome {
 }
 
 /// Run GPU coarsening levels on `dev` until the graph drops below the
-/// threshold or matching stalls. Shared by the single-GPU pipeline and
-/// the multi-GPU extension.
+/// threshold or matching stalls. Each level's kernels are one op on the
+/// device's compute engine and its checkpoint download (when `ckpt` is
+/// armed) one op on its D2H copy engine, which streams behind the next
+/// level's kernels. The first op waits for `*last`; on return `*last` is
+/// the loop's final compute op.
 pub(crate) fn gpu_coarsen_loop(
     dev: &Device,
-    g0: GpuCsr,
-    mut uniform: bool,
-    max_vwgt: u32,
+    mut co: Coarsening,
     cfg: &GpMetisConfig,
     mut ckpt: Option<&mut Checkpoint>,
-    mut marks: Option<&mut Vec<(f64, f64)>>,
+    tl: &mut Timeline,
+    last: &mut EventId,
 ) -> Result<CoarsenOutcome, DeviceError> {
-    let ccfg = CoarsenConfig::for_k(cfg.k);
-    let mut levels: Vec<GpuLevel> = Vec::new();
-    let mut cur = g0;
-    let mut conflicts = 0u64;
-    let mut peak_mem = 0u64;
-    // One device scratch for the whole coarsening loop: the first level
-    // sizes the contraction temporaries and scan buffers high-water,
-    // later levels recycle them without touching the device allocator.
-    // Dropped with this function, before the uncoarsening ascent.
-    let mut scratch = GpuCoarsenScratch::new();
-    while cur.n > cfg.gpu_threshold && levels.len() < ccfg.max_levels {
-        let lvl = levels.len();
-        let (mat, mstats) = gpu_matching(
-            dev,
-            &cur,
-            max_vwgt,
-            cfg.match_rounds,
-            uniform,
-            cfg.seed.wrapping_add(lvl as u64),
-            cfg.distribution,
-            cfg.max_threads,
-        )?;
-        conflicts += mstats.conflicts;
-        let (cmap, nc) = gpu_cmap_ws(dev, &mat, cfg.distribution, cfg.max_threads, &mut scratch)?;
-        if nc as f64 / cur.n as f64 > ccfg.reduction_cutoff {
-            break; // stalled; hand over to the CPU
+    let mut prev = dev.elapsed();
+    while co.wants_level(cfg) {
+        let lvl = co.levels.len();
+        if !co.step(dev, cfg)? {
+            break;
         }
-        let coarse =
-            gpu_contract_ws(dev, &cur, &mat, &cmap, nc, cfg.merge, cfg.max_threads, &mut scratch)?;
-        peak_mem = peak_mem.max(dev.mem_used());
         let kernels_done = dev.elapsed();
         if let Some(ck) = ckpt.as_deref_mut() {
             // Checkpoint the finished level on the host. If the download
             // itself dies the checkpoint keeps its pre-level state.
-            let cmap_host = crate::gpu_graph::d2h_idx(dev, &cmap)?;
-            let coarse_host = coarse.download(dev)?;
+            let cmap_host = crate::gpu_graph::d2h_idx(dev, &co.levels[lvl].cmap)?;
+            let coarse_host = co.cur.download(dev)?;
             let fine = std::mem::replace(&mut ck.coarse, coarse_host);
             ck.host_levels.push(Level { graph: fine, cmap: cmap_host });
         }
-        if let Some(m) = marks.as_deref_mut() {
-            // Absolute device clocks at the level's kernels-done and
-            // checkpoint-done boundaries, for the overlap timeline: the
-            // gap between the two is the level's checkpoint D2H, which
-            // streams on the copy engine behind the next level's compute.
-            m.push((kernels_done, dev.elapsed()));
+        *last = tl.record(
+            EngineId::Compute(0),
+            &format!("gpu:coarsen:l{lvl}"),
+            kernels_done - prev,
+            &[*last],
+        );
+        prev = dev.elapsed();
+        if prev > kernels_done {
+            tl.record(EngineId::D2H(0), &format!("ckpt:d2h:l{lvl}"), prev - kernels_done, &[*last]);
         }
-        uniform = false; // contraction sums weights; HEM has signal now
-        levels.push(GpuLevel { graph: std::mem::replace(&mut cur, coarse), cmap });
     }
-    Ok(CoarsenOutcome { levels, coarsest: cur, conflicts, peak_mem })
+    let end = dev.elapsed();
+    if end > prev || co.levels.is_empty() {
+        // the stalled matching+cmap that ended the loop (and the whole
+        // phase when no level completed)
+        *last = tl.record(EngineId::Compute(0), "gpu:coarsen:tail", end - prev, &[*last]);
+    }
+    Ok(co.into_outcome())
 }
 
-/// Project + refine back up through the device levels. Shared by the
-/// single-GPU pipeline and the multi-GPU extension. Returns the fine
+/// Project + refine back up through the device levels, one compute op
+/// per level after `*last` (left on the final op). Returns the fine
 /// device partition and the number of committed moves.
 pub(crate) fn gpu_uncoarsen_loop(
     dev: &Device,
@@ -350,10 +414,12 @@ pub(crate) fn gpu_uncoarsen_loop(
     mut dpart: gpm_gpu_sim::DBuf<u32>,
     maxw: u32,
     cfg: &GpMetisConfig,
-    mut marks: Option<&mut Vec<f64>>,
+    tl: &mut Timeline,
+    last: &mut EventId,
 ) -> Result<(gpm_gpu_sim::DBuf<u32>, u64), DeviceError> {
     let mut refine_moves = 0u64;
-    for lvl in (0..levels.len()).rev() {
+    let mut prev = dev.elapsed();
+    for (step, lvl) in (0..levels.len()).rev().enumerate() {
         let fine = &levels[lvl].graph;
         dpart = gpu_project(dev, &levels[lvl].cmap, &dpart, cfg.distribution, cfg.max_threads)?;
         let pw = gpu_part_weights(dev, fine, &dpart, cfg.k, cfg.distribution, cfg.max_threads)?;
@@ -369,9 +435,17 @@ pub(crate) fn gpu_uncoarsen_loop(
             cfg.max_threads,
         )?;
         refine_moves += stats.moves;
-        if let Some(m) = marks.as_deref_mut() {
-            m.push(dev.elapsed());
-        }
+        let now = dev.elapsed();
+        *last = tl.record(
+            EngineId::Compute(0),
+            &format!("gpu:uncoarsen:s{step}"),
+            now - prev,
+            &[*last],
+        );
+        prev = now;
+    }
+    if levels.is_empty() {
+        *last = tl.record(EngineId::Compute(0), "gpu:uncoarsen", dev.elapsed() - prev, &[*last]);
     }
     Ok((dpart, refine_moves))
 }
@@ -409,160 +483,6 @@ fn cpu_coarsen_init(
     );
     cpu_ledger.parallel("initpart", model, &[init_crit], 1);
     (hierarchy, cpart)
-}
-
-/// Assemble a [`GpMetisResult`] from a finished partition plus the run's
-/// bookkeeping. Shared by the clean path and both degradation paths.
-#[allow(clippy::too_many_arguments)]
-fn assemble_result(
-    g: &CsrGraph,
-    cfg: &GpMetisConfig,
-    part: Vec<u32>,
-    ledger: CostLedger,
-    t0: std::time::Instant,
-    dev: &Device,
-    gpu_levels: usize,
-    cpu_levels: usize,
-    conflicts: u64,
-    refine_moves: u64,
-    peak_mem: u64,
-    report: RunReport,
-    overlap: Option<gpm_gpu_sim::OverlapReport>,
-) -> GpMetisResult {
-    let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
-    let imbalance = gpm_graph::metrics::imbalance(g, &part, cfg.k);
-    GpMetisResult {
-        result: PartitionResult {
-            part,
-            k: cfg.k,
-            edge_cut,
-            imbalance,
-            ledger,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            levels: gpu_levels + cpu_levels + 1,
-        },
-        gpu: GpuReport {
-            gpu_levels,
-            cpu_levels,
-            match_conflicts: conflicts,
-            refine_moves,
-            transfer_seconds: dev.transfer_seconds_total(),
-            transfer_bytes: dev.transfer_bytes_total(),
-            gpu_seconds: dev.elapsed() - dev.transfer_seconds_total(),
-            peak_device_bytes: peak_mem,
-            kernel_log: dev.kernel_log(),
-        },
-        report,
-        overlap,
-    }
-}
-
-/// The value of ledger phase `name` (0 when absent).
-fn ledger_phase(ledger: &CostLedger, name: &str) -> f64 {
-    ledger.phases.iter().find(|(n, _)| n == name).map_or(0.0, |(_, s)| *s)
-}
-
-/// Build the single-GPU overlap timeline from the run's phase boundaries
-/// (DESIGN.md §16). The pipeline is one dependency chain over the H2D,
-/// compute, D2H and CPU engines; the one overlap opportunity is the
-/// per-level checkpoint download, which streams on the D2H copy engine
-/// while the next coarsening level's kernels run. Op durations tile each
-/// serialized ledger phase (up to floating summation order), so the
-/// critical path can never exceed the serialized total.
-fn single_gpu_timeline(
-    ledger: &CostLedger,
-    cpu_phases: &[(String, f64)],
-    coarsen_t0: f64,
-    coarsen_t1: f64,
-    coarsen_marks: &[(f64, f64)],
-    unc_marks: &[f64],
-) -> gpm_gpu_sim::Timeline {
-    use gpm_gpu_sim::{EngineId, Timeline};
-    let mut tl = Timeline::new();
-    let up =
-        tl.record(EngineId::H2D(0), "xfer:h2d:graph", ledger_phase(ledger, "xfer:h2d:graph"), &[]);
-    let mut last = up;
-    let mut prev = coarsen_t0;
-    for (lvl, &(kernels_done, level_done)) in coarsen_marks.iter().enumerate() {
-        let c = tl.record(
-            EngineId::Compute(0),
-            &format!("gpu:coarsen:l{lvl}"),
-            kernels_done - prev,
-            &[last],
-        );
-        if level_done > kernels_done {
-            // the checkpoint download: next level's kernels don't wait
-            tl.record(
-                EngineId::D2H(0),
-                &format!("ckpt:d2h:l{lvl}"),
-                level_done - kernels_done,
-                &[c],
-            );
-        }
-        last = c;
-        prev = level_done;
-    }
-    if coarsen_t1 > prev || coarsen_marks.is_empty() {
-        // the stalled matching+cmap that ended the loop (and the whole
-        // phase when no level completed)
-        last = tl.record(EngineId::Compute(0), "gpu:coarsen:tail", coarsen_t1 - prev, &[last]);
-    }
-    let down = tl.record(
-        EngineId::D2H(0),
-        "xfer:d2h:coarse",
-        ledger_phase(ledger, "xfer:d2h:coarse"),
-        &[last],
-    );
-    let mut cpu_last = down;
-    for (name, secs) in cpu_phases {
-        cpu_last = tl.record(EngineId::Cpu, &format!("cpu:{name}"), *secs, &[cpu_last]);
-    }
-    let mut last = tl.record(
-        EngineId::H2D(0),
-        "xfer:h2d:part",
-        ledger_phase(ledger, "xfer:h2d:part"),
-        &[cpu_last],
-    );
-    if unc_marks.len() > 1 {
-        let mut prev = unc_marks[0];
-        for (step, &m) in unc_marks[1..].iter().enumerate() {
-            last = tl.record(
-                EngineId::Compute(0),
-                &format!("gpu:uncoarsen:s{step}"),
-                m - prev,
-                &[last],
-            );
-            prev = m;
-        }
-    } else {
-        last = tl.record(
-            EngineId::Compute(0),
-            "gpu:uncoarsen",
-            ledger_phase(ledger, "gpu:uncoarsen"),
-            &[last],
-        );
-    }
-    tl.record(EngineId::D2H(0), "xfer:d2h:part", ledger_phase(ledger, "xfer:d2h:part"), &[last]);
-    tl
-}
-
-/// The degradation record for a device failure at `point`.
-fn degraded_report(
-    point: &str,
-    err: &DeviceError,
-    dev: &Device,
-    injector: Option<&Arc<FaultInjector>>,
-    checkpoint_gpu_levels: usize,
-) -> RunReport {
-    RunReport {
-        degraded: true,
-        degrade_point: Some(point.to_string()),
-        device_error: Some(err.to_string()),
-        faults_injected: injector.map_or(0, |i| i.injected()),
-        device_retries: dev.fault_retries(),
-        checkpoint_gpu_levels,
-        breaker: None,
-    }
 }
 
 /// Partition `g` into `cfg.k` parts with the hybrid CPU-GPU algorithm.
@@ -606,9 +526,9 @@ pub fn partition_with_plan(
         Some(i) => Device::with_faults(cfg.gpu.clone(), Arc::clone(i)),
         None => Device::new(cfg.gpu.clone()),
     };
-    let mut ledger = CostLedger::new();
-    let ccfg = CoarsenConfig::for_k(cfg.k);
-    let max_vwgt = ccfg.max_vwgt(g.total_vwgt());
+    let max_vwgt = CoarsenConfig::for_k(cfg.k).max_vwgt(g.total_vwgt());
+    let maxw = gpm_graph::metrics::max_part_weight(g.total_vwgt(), cfg.k, cfg.ubfactor);
+    let maxw = u32::try_from(maxw).map_err(|_| PartitionError::WeightOverflow)?;
     let mt = mt_config(cfg);
     let model = CpuModel::xeon_e5540(cfg.cpu_threads);
 
@@ -618,184 +538,158 @@ pub fn partition_with_plan(
     let ckpt_armed = cfg.fallback && injector.as_ref().is_some_and(|i| i.is_active());
     let mut ckpt = ckpt_armed.then(|| Checkpoint { host_levels: Vec::new(), coarse: g.clone() });
 
+    // Every phase is charged once from the device clock: to the serialized
+    // ledger, and with the same seconds to the overlap timeline (DESIGN.md
+    // §16). The pipeline is one dependency chain over the H2D, compute,
+    // D2H and CPU engines; its one overlap is the checkpoint download.
+    let mut ledger = CostLedger::new();
+    let mut tl = Timeline::new();
     let mut mark = dev.elapsed();
-    let charge = |ledger: &mut CostLedger, dev: &Device, name: &str, mark: &mut f64| {
+    let charge = |ledger: &mut CostLedger, name: &str, mark: &mut f64| {
         let now = dev.elapsed();
-        ledger.seconds(name, now - *mark);
+        let secs = now - *mark;
+        ledger.seconds(name, secs);
         *mark = now;
+        secs
     };
+    // Set once the CPU middle phase finishes, for a device loss after it:
+    // its partition of the coarse graph with its level count, and the GPU
+    // coarsening's stats (0 when the device died before).
+    let mut resume: Option<(Vec<u32>, usize)> = None;
+    let (mut conflicts, mut peak_mem) = (0u64, 0u64);
 
-    // 1-3. GPU front half: upload, coarsening levels, coarse D2H.
-    let mut coarsen_marks: Vec<(f64, f64)> = Vec::new();
-    let front = (|| {
+    let run = (|| {
+        // 1-3. GPU front half: upload, coarsening levels, coarse D2H.
         let g0 = GpuCsr::upload(&dev, g).map_err(|e| ("xfer:h2d:graph", e))?;
-        charge(&mut ledger, &dev, "xfer:h2d:graph", &mut mark);
-        let coarsen_t0 = mark;
-        let outcome = gpu_coarsen_loop(
-            &dev,
-            g0,
-            g.uniform_edge_weights(),
-            max_vwgt,
-            cfg,
-            ckpt.as_mut(),
-            cfg.overlap.then_some(&mut coarsen_marks),
-        )
-        .map_err(|e| ("gpu:coarsen", e))?;
-        charge(&mut ledger, &dev, "gpu:coarsen", &mut mark);
-        let coarsen_t1 = mark;
+        let secs = charge(&mut ledger, "xfer:h2d:graph", &mut mark);
+        let mut last = tl.record(EngineId::H2D(0), "xfer:h2d:graph", secs, &[]);
+        let co = Coarsening::new(g0, g.uniform_edge_weights(), max_vwgt);
+        let outcome = gpu_coarsen_loop(&dev, co, cfg, ckpt.as_mut(), &mut tl, &mut last)
+            .map_err(|e| ("gpu:coarsen", e))?;
+        charge(&mut ledger, "gpu:coarsen", &mut mark);
         let coarse_host = outcome.coarsest.download(&dev).map_err(|e| ("xfer:d2h:coarse", e))?;
-        charge(&mut ledger, &dev, "xfer:d2h:coarse", &mut mark);
-        Ok((outcome, coarse_host, coarsen_t0, coarsen_t1))
+        let secs = charge(&mut ledger, "xfer:d2h:coarse", &mut mark);
+        let mut cpu_last = tl.record(EngineId::D2H(0), "xfer:d2h:coarse", secs, &[last]);
+
+        // 4. CPU middle phase (mt-metis): finish coarsening, initial
+        //    partitioning, refine back up to the threshold level.
+        let mut cpu_ledger = CostLedger::new();
+        let (hierarchy, cpart) = cpu_coarsen_init(&coarse_host, cfg, &mt, &model, &mut cpu_ledger);
+        let part =
+            gpm_mtmetis::uncoarsen_with_refine(&hierarchy, cpart, &mt, &model, &mut cpu_ledger);
+        for (name, secs) in &cpu_ledger.phases {
+            let name = format!("cpu:{name}");
+            ledger.seconds(&name, *secs);
+            cpu_last = tl.record(EngineId::Cpu, &name, *secs, &[cpu_last]);
+        }
+        let cpu_levels = hierarchy.depth();
+        let (part_at_entry, _) = resume.insert((part, cpu_levels));
+        (conflicts, peak_mem) = (outcome.conflicts, outcome.peak_mem);
+
+        // 5-7. GPU back half: partition H2D, project + refine per level, D2H.
+        let dpart = dev.h2d(part_at_entry).map_err(|e| ("xfer:h2d:part", e))?;
+        let secs = charge(&mut ledger, "xfer:h2d:part", &mut mark);
+        let mut last = tl.record(EngineId::H2D(0), "xfer:h2d:part", secs, &[cpu_last]);
+        let (dpart, refine_moves) =
+            gpu_uncoarsen_loop(&dev, &outcome.levels, dpart, maxw, cfg, &mut tl, &mut last)
+                .map_err(|e| ("gpu:uncoarsen", e))?;
+        peak_mem = peak_mem.max(dev.mem_used());
+        charge(&mut ledger, "gpu:uncoarsen", &mut mark);
+        let part = dev.d2h(&dpart).map_err(|e| ("xfer:d2h:part", e))?;
+        let secs = charge(&mut ledger, "xfer:d2h:part", &mut mark);
+        tl.record(EngineId::D2H(0), "xfer:d2h:part", secs, &[last]);
+        Ok((part, outcome.levels.len(), cpu_levels, refine_moves))
     })();
-    let (outcome, coarse_host, coarsen_t0, coarsen_t1) = match front {
-        Ok(v) => v,
+    let mut report = RunReport {
+        faults_injected: injector.as_ref().map_or(0, |i| i.injected()),
+        device_retries: dev.fault_retries(),
+        checkpoint_gpu_levels: ckpt.as_ref().map_or(0, |c| c.host_levels.len()),
+        ..RunReport::default()
+    };
+    let (part, gpu_levels, cpu_levels, refine_moves, overlap) = match run {
+        Ok((part, gpu_levels, cpu_levels, refine_moves)) => {
+            (part, gpu_levels, cpu_levels, refine_moves, Some(tl.report(ledger.total())))
+        }
         Err((point, e)) => {
-            let Some(ck) = ckpt.take() else { return Err(e.into()) };
+            // Degrade to the CPU engine from the last checkpoint; without
+            // one the device error is the result.
+            let Some(ck) = ckpt else { return Err(e.into()) };
             ledger.seconds(&format!("{point}(aborted)"), dev.elapsed() - mark);
-            // Degrade: the CPU engine finishes coarsening from the last
-            // checkpointed level, then one combined uncoarsen+refine walks
-            // back up through both the CPU and the salvaged GPU levels.
-            let report = degraded_report(point, &e, &dev, injector.as_ref(), ck.host_levels.len());
-            let mut fb_ledger = CostLedger::new();
-            let (cpu_hier, cpart) = cpu_coarsen_init(&ck.coarse, cfg, &mt, &model, &mut fb_ledger);
-            let (gpu_levels, cpu_levels) = (ck.host_levels.len(), cpu_hier.depth());
-            let mut combined = ck.host_levels;
-            combined.extend(cpu_hier.levels);
-            let combined = Hierarchy { levels: combined };
-            let part =
-                gpm_mtmetis::uncoarsen_with_refine(&combined, cpart, &mt, &model, &mut fb_ledger);
-            for (name, secs) in &fb_ledger.phases {
-                ledger.seconds(&format!("cpufb:{name}"), *secs);
-            }
-            return Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                gpu_levels,
-                cpu_levels,
-                0,
-                0,
-                dev.mem_used(),
-                report,
-                None,
-            ));
+            report.degraded = true;
+            report.degrade_point = Some(point.to_string());
+            report.device_error = Some(e.to_string());
+            peak_mem = peak_mem.max(dev.mem_used());
+            let gpu_levels = ck.host_levels.len();
+            let (part, cpu_levels) = resume_on_cpu(ck, resume, cfg, &mt, &model, &mut ledger);
+            (part, gpu_levels, cpu_levels, 0, None)
         }
     };
-    let CoarsenOutcome { levels, coarsest: _, conflicts, peak_mem } = outcome;
-    let mut peak_mem = peak_mem;
+    let edge_cut = gpm_graph::metrics::edge_cut(g, &part);
+    let imbalance = gpm_graph::metrics::imbalance(g, &part, cfg.k);
+    Ok(GpMetisResult {
+        result: PartitionResult {
+            part,
+            k: cfg.k,
+            edge_cut,
+            imbalance,
+            ledger,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            levels: gpu_levels + cpu_levels + 1,
+        },
+        gpu: GpuReport {
+            gpu_levels,
+            cpu_levels,
+            match_conflicts: conflicts,
+            refine_moves,
+            transfer_seconds: dev.transfer_seconds_total(),
+            transfer_bytes: dev.transfer_bytes_total(),
+            gpu_seconds: dev.elapsed() - dev.transfer_seconds_total(),
+            peak_device_bytes: peak_mem,
+            kernel_log: dev.kernel_log(),
+        },
+        report,
+        overlap,
+    })
+}
 
-    // 4. CPU middle phase (mt-metis): finish coarsening, initial
-    //    partitioning, refine back up to the threshold level.
-    let mut cpu_ledger = CostLedger::new();
-    let (hierarchy, cpart) = cpu_coarsen_init(&coarse_host, cfg, &mt, &model, &mut cpu_ledger);
-    let part_at_entry =
-        gpm_mtmetis::uncoarsen_with_refine(&hierarchy, cpart, &mt, &model, &mut cpu_ledger);
-    for (name, secs) in &cpu_ledger.phases {
-        ledger.seconds(&format!("cpu:{name}"), *secs);
-    }
-    let cpu_levels = hierarchy.depth();
-
-    // 5-7. GPU back half: partition H2D, project + refine per level, D2H.
-    let maxw = gpm_graph::metrics::max_part_weight(g.total_vwgt(), cfg.k, cfg.ubfactor);
-    let maxw = u32::try_from(maxw).map_err(|_| PartitionError::WeightOverflow)?;
-    mark = dev.elapsed();
-    let mut unc_marks: Vec<f64> = Vec::new();
-    let back = (|| {
-        let dpart = dev.h2d(&part_at_entry).map_err(|e| ("xfer:h2d:part", e))?;
-        charge(&mut ledger, &dev, "xfer:h2d:part", &mut mark);
-        unc_marks.push(mark); // uncoarsening start clock
-        let (dpart, refine_moves) = gpu_uncoarsen_loop(
-            &dev,
-            &levels,
-            dpart,
-            maxw,
-            cfg,
-            cfg.overlap.then_some(&mut unc_marks),
-        )
-        .map_err(|e| ("gpu:uncoarsen", e))?;
-        peak_mem = peak_mem.max(dev.mem_used());
-        charge(&mut ledger, &dev, "gpu:uncoarsen", &mut mark);
-        let part = dev.d2h(&dpart).map_err(|e| ("xfer:d2h:part", e))?;
-        charge(&mut ledger, &dev, "xfer:d2h:part", &mut mark);
-        Ok((part, refine_moves))
-    })();
-    match back {
-        Ok((part, refine_moves)) => {
-            let report = RunReport {
-                faults_injected: injector.as_ref().map_or(0, |i| i.injected()),
-                device_retries: dev.fault_retries(),
-                checkpoint_gpu_levels: ckpt.as_ref().map_or(0, |c| c.host_levels.len()),
-                ..RunReport::default()
-            };
-            let overlap = cfg.overlap.then(|| {
-                single_gpu_timeline(
-                    &ledger,
-                    &cpu_ledger.phases,
-                    coarsen_t0,
-                    coarsen_t1,
-                    &coarsen_marks,
-                    &unc_marks,
-                )
-                .report(ledger.total())
-            });
-            Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                levels.len(),
-                cpu_levels,
-                conflicts,
-                refine_moves,
-                peak_mem,
-                report,
-                overlap,
-            ))
+/// Finish a run whose device died, on the CPU engine from the last
+/// checkpoint. `resume` is the CPU middle phase's partition of the
+/// checkpointed coarse graph (with its level count) when the device died
+/// after that phase; otherwise the CPU engine first finishes coarsening
+/// the checkpoint and partitions it. One combined uncoarsen + refine then
+/// walks back up through the CPU levels and the salvaged GPU levels,
+/// charged under `cpufb:`. Returns the partition and the CPU level count.
+fn resume_on_cpu(
+    ck: Checkpoint,
+    resume: Option<(Vec<u32>, usize)>,
+    cfg: &GpMetisConfig,
+    mt: &MtMetisConfig,
+    model: &CpuModel,
+    ledger: &mut CostLedger,
+) -> (Vec<u32>, usize) {
+    let mut fb_ledger = CostLedger::new();
+    let (cpart, cpu_levels, cpu_hier) = match resume {
+        Some((part, cpu_levels)) => {
+            (part, cpu_levels, vec![Level { graph: ck.coarse, cmap: Vec::new() }])
         }
-        Err((point, e)) => {
-            let Some(ck) = ckpt.take() else { return Err(e.into()) };
-            ledger.seconds(&format!("{point}(aborted)"), dev.elapsed() - mark);
-            // Degrade: the CPU middle phase already produced a partition
-            // of the checkpointed coarse graph; project + refine it up
-            // through the salvaged GPU levels on the CPU.
-            let report = degraded_report(point, &e, &dev, injector.as_ref(), ck.host_levels.len());
-            let gpu_levels = ck.host_levels.len();
-            let mut combined = ck.host_levels;
-            combined.push(Level { graph: ck.coarse, cmap: Vec::new() });
-            let combined = Hierarchy { levels: combined };
-            let mut fb_ledger = CostLedger::new();
-            let part = gpm_mtmetis::uncoarsen_with_refine(
-                &combined,
-                part_at_entry,
-                &mt,
-                &model,
-                &mut fb_ledger,
-            );
-            for (name, secs) in &fb_ledger.phases {
-                ledger.seconds(&format!("cpufb:{name}"), *secs);
-            }
-            Ok(assemble_result(
-                g,
-                cfg,
-                part,
-                ledger,
-                t0,
-                &dev,
-                gpu_levels,
-                cpu_levels,
-                conflicts,
-                0,
-                peak_mem.max(dev.mem_used()),
-                report,
-                None,
-            ))
+        None => {
+            let (hier, cpart) = cpu_coarsen_init(&ck.coarse, cfg, mt, model, &mut fb_ledger);
+            (cpart, hier.depth(), hier.levels)
         }
+    };
+    let mut combined = ck.host_levels;
+    combined.extend(cpu_hier);
+    let part = gpm_mtmetis::uncoarsen_with_refine(
+        &Hierarchy { levels: combined },
+        cpart,
+        mt,
+        model,
+        &mut fb_ledger,
+    );
+    for (name, secs) in &fb_ledger.phases {
+        ledger.seconds(&format!("cpufb:{name}"), *secs);
     }
+    (part, cpu_levels)
 }
 
 /// Serve a job CPU-only (mt-metis with the hybrid config's k/threads/

@@ -6,7 +6,11 @@
 //! The seed pins at the top were captured on the pre-overlap tree
 //! (FNV-1a over the partition labels, the ledger phase names + charge
 //! bits, and the modeled-seconds bits), so they also guard the whole
-//! single-GPU pipeline against accidental cost-model drift.
+//! single-GPU pipeline against accidental cost-model drift. The makespan,
+//! multi-GPU and degradation pins below them were captured on the tree
+//! that still rebuilt the single-GPU schedule from clock marks after the
+//! run, so they also prove that recording each op where its phase is
+//! charged changed no bit.
 
 use gp_metis::multi_gpu::{partition_multi, MultiGpuConfig};
 use gp_metis::{partition, GpMetisConfig};
@@ -62,39 +66,108 @@ const SEED_PINS: [(&str, u64, u64, u64); 4] = [
     ("usa-roads", 0xfd6e2f57ae258a90, 0xe092f7dd58e681c1, 0x3f73b60701d92c3c),
 ];
 
+/// Overlap makespan bits of the [`SEED_PINS`] runs. A clean single-GPU
+/// run is one dependency chain, so each equals its serialized total.
+const SEED_MAKESPANS: [(&str, u64); 4] = [
+    ("grid", 0x3f6c6053ccf61bea),
+    ("delaunay", 0x3f63985a68a5c8a1),
+    ("hugebubbles", 0x3f703d4f3709c893),
+    ("usa-roads", 0x3f73b60701d92c3c),
+];
+
 #[test]
-fn seed_pins_hold_with_overlap_on_and_off() {
+fn seed_pins_hold() {
     for (name, g) in pin_codes() {
         let pin = SEED_PINS.iter().find(|p| p.0 == name).unwrap();
-        for overlap in [true, false] {
-            let r = partition(&g, &pin_cfg().with_overlap(overlap)).unwrap();
-            assert_eq!(part_hash(&r.result), pin.1, "{name} partition (overlap={overlap})");
-            assert_eq!(ledger_hash(&r.result), pin.2, "{name} ledger (overlap={overlap})");
-            assert_eq!(
-                r.result.modeled_seconds().to_bits(),
-                pin.3,
-                "{name} modeled seconds (overlap={overlap})"
-            );
-            assert_eq!(r.overlap.is_some(), overlap, "{name} report presence");
-        }
+        let r = partition(&g, &pin_cfg()).unwrap();
+        assert_eq!(part_hash(&r.result), pin.1, "{name} partition");
+        assert_eq!(ledger_hash(&r.result), pin.2, "{name} ledger");
+        assert_eq!(r.result.modeled_seconds().to_bits(), pin.3, "{name} modeled seconds");
+        let makespan = SEED_MAKESPANS.iter().find(|p| p.0 == name).unwrap().1;
+        assert_eq!(r.overlap.unwrap().makespan.to_bits(), makespan, "{name} makespan");
     }
 }
 
+/// A `partition_multi` run on `delaunay_like(6_000, 2)` with [`pin_cfg`].
+struct MultiPin {
+    devices: usize,
+    part: u64,
+    ledger: u64,
+    modeled: u64,
+    makespan: u64,
+    peaks: &'static [u64],
+}
+
+const MULTI_PINS: [MultiPin; 2] = [
+    MultiPin {
+        devices: 2,
+        part: 0x591ef2478eeca906,
+        ledger: 0x767b67d7e29311cd,
+        modeled: 0x3f707c89f04b2008,
+        makespan: 0x3f6e6dfc60e88340,
+        peaks: &[534116, 530904],
+    },
+    MultiPin {
+        devices: 4,
+        part: 0x81ebd023751aea60,
+        ledger: 0x8c16049361bb11d5,
+        modeled: 0x3f6ea1a3b7cb2ca4,
+        makespan: 0x3f6b6663ba68c34d,
+        peaks: &[254776, 254568, 254500, 254092],
+    },
+];
+
 #[test]
-fn multi_gpu_overlap_off_is_byte_identical_to_on() {
+fn multi_gpu_pins_hold() {
     let g = delaunay_like(6_000, 2);
-    for d in [2usize, 4] {
-        let on = partition_multi(&g, &MultiGpuConfig::new(pin_cfg(), d)).unwrap();
-        let off =
-            partition_multi(&g, &MultiGpuConfig::new(pin_cfg().with_overlap(false), d)).unwrap();
-        assert_eq!(on.result.part, off.result.part, "d={d} partition");
-        assert_eq!(ledger_hash(&on.result), ledger_hash(&off.result), "d={d} ledger");
-        assert_eq!(
-            on.result.modeled_seconds().to_bits(),
-            off.result.modeled_seconds().to_bits(),
-            "d={d} modeled seconds"
-        );
-        assert!(on.overlap.is_some() && off.overlap.is_none(), "d={d} report presence");
+    for pin in &MULTI_PINS {
+        let d = pin.devices;
+        let r = partition_multi(&g, &MultiGpuConfig::new(pin_cfg(), d)).unwrap();
+        assert_eq!(part_hash(&r.result), pin.part, "d={d} partition");
+        assert_eq!(ledger_hash(&r.result), pin.ledger, "d={d} ledger");
+        assert_eq!(r.result.modeled_seconds().to_bits(), pin.modeled, "d={d} modeled seconds");
+        assert_eq!(r.overlap.unwrap().makespan.to_bits(), pin.makespan, "d={d} makespan");
+        assert_eq!(r.peak_device_bytes, pin.peaks, "d={d} per-device peak bytes");
+    }
+}
+
+/// The hybrid run of the degradation pins: the unit tests' kill-point
+/// configuration.
+fn degrade_cfg() -> GpMetisConfig {
+    GpMetisConfig::new(8).with_gpu_threshold(400).with_seed(3).with_fallback(true)
+}
+
+/// (fault plan, degrade point, partition hash, ledger hash) of the two
+/// degraded paths on `delaunay_like(3_000, 2)`: device loss at the first
+/// launch of GPU coarsening level 1 (front half) and at the partition
+/// upload after the CPU middle phase (back half, `gpu.h2d@4`).
+#[test]
+fn degraded_pins_hold() {
+    let g = delaunay_like(3_000, 2);
+    // level 1 starts at the second occurrence of level 0's first kernel
+    let log = gp_metis::partition_with_plan(&g, &degrade_cfg(), None).unwrap().gpu.kernel_log;
+    let level1 = log.iter().skip(1).position(|k| k.name == log[0].name).unwrap() + 1;
+    assert_eq!(level1, 35, "level-1 kill point");
+    let pins = [
+        (
+            FaultPlan::new(7).with("gpu.launch", Selector::One(35), FaultKind::DeviceLost),
+            "gpu:coarsen",
+            0x7a147d595ac46b66,
+            0xbeb94a4d5122a07a,
+        ),
+        (
+            FaultPlan::new(5).with("gpu.h2d", Selector::One(4), FaultKind::DeviceLost),
+            "xfer:h2d:part",
+            0x48484bef106840d2,
+            0xfd79ffedfe6454d6,
+        ),
+    ];
+    for (plan, point, part, ledger) in pins {
+        let r = gp_metis::partition_with_plan(&g, &degrade_cfg(), Some(plan)).unwrap();
+        assert!(r.report.degraded, "{point}: the plan must degrade the run");
+        assert_eq!(r.report.degrade_point.as_deref(), Some(point));
+        assert_eq!(part_hash(&r.result), part, "{point} partition");
+        assert_eq!(ledger_hash(&r.result), ledger, "{point} ledger");
     }
 }
 
@@ -156,6 +229,7 @@ fn checkpoint_download_streams_behind_next_level() {
     assert!(!ck.report.degraded);
     assert!(ck.report.checkpoint_gpu_levels >= 1, "checkpoint must be armed");
     let ov = ck.overlap.unwrap();
+    assert_eq!(ov.makespan.to_bits(), 0x3f73de5d51008fc1, "checkpointed makespan pin");
     assert!(
         ov.makespan < ov.serialized,
         "checkpoint streaming must overlap: makespan {} vs serialized {}",
@@ -178,9 +252,6 @@ fn no_report_on_cpu_only_or_degraded_paths() {
     let r = gp_metis::partition_with_plan(&g, &cfg, Some(plan)).unwrap();
     assert!(r.report.degraded, "fault plan must actually degrade the run");
     assert!(r.overlap.is_none(), "degraded run must not report a schedule");
-    // overlap off → no timeline even on the clean GPU path
-    let r = partition(&g, &pin_cfg().with_overlap(false)).unwrap();
-    assert!(r.overlap.is_none());
 }
 
 #[test]

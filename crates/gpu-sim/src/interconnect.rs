@@ -150,9 +150,10 @@ impl Interconnect {
         self.links.lock().unwrap().values().map(|s| s.bytes).sum()
     }
 
-    /// Total modeled link seconds across all links.
+    /// Total modeled link seconds across all links (`+0.0` when no link
+    /// carried traffic: an empty f64 `sum()` is `-0.0`).
     pub fn total_seconds(&self) -> f64 {
-        self.links.lock().unwrap().values().map(|s| s.seconds).sum()
+        self.links.lock().unwrap().values().fold(0.0, |acc, s| acc + s.seconds)
     }
 
     /// Total transfer count across all links.
@@ -319,6 +320,14 @@ mod tests {
         assert_eq!(g.interconnect().total_bytes(), 16 + 32 + 4);
         assert_eq!(g.interconnect().total_transfers(), 3);
         assert!(g.interconnect().total_seconds() > 0.0);
+    }
+
+    #[test]
+    fn idle_fabric_totals_are_positive_zero() {
+        let g = DeviceGroup::new(2, &GpuConfig::gtx_titan(), LinkConfig::pcie_gen2());
+        let secs = g.interconnect().total_seconds();
+        assert_eq!(secs.to_bits(), 0.0f64.to_bits(), "no traffic must total +0.0, got {secs}");
+        assert_eq!(g.interconnect().total_bytes(), 0);
     }
 
     #[test]
